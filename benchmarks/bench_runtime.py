@@ -21,6 +21,12 @@ Acceptance bars checked here (and re-checked by the CI perf gate via
   not gated);
 * snapshots agree bit-for-bit across engines and topologies.
 
+The same kernels also run the way users run them: compiled through
+``compile_source`` at O0, O1 and O3 (split-phase ``get``/``put``/
+``store``/``sync_ctr`` code at O1/O3) at 64 and 256 processors.  Each
+row records host seconds next to simulated cycles (the paper's own
+metric); every level must reproduce the O0 snapshot.
+
 Environment overrides (used by the CI ``runtime-gate`` target):
 
 * ``REPRO_RUNTIME_PROCS`` — comma-separated processor counts
@@ -41,6 +47,7 @@ import os
 import time
 from typing import Callable, Dict, List, Tuple
 
+from repro import OptLevel, compile_source
 from repro.apps import em3d, ocean
 from repro.ir.inline import inline_all
 from repro.ir.lowering import lower_program
@@ -67,6 +74,10 @@ _REFERENCE_CAP = 256
 _SPEEDUP_AT = 256
 _SPEEDUP_BAR = 10.0
 
+#: Compiled rows: the optimization levels users run, at these sizes.
+_LEVELS = (OptLevel.O0, OptLevel.O1, OptLevel.O3)
+_COMPILED_PROCS = (64, 256)
+
 
 def _sizes() -> List[int]:
     raw = os.environ.get("REPRO_RUNTIME_PROCS", "64,256,1024")
@@ -80,6 +91,26 @@ def _run(source: str, procs: int, engine: str, topology: str):
     result = run_module(module, procs, machine, engine=engine)
     seconds = time.perf_counter() - start
     return seconds, result
+
+
+def _compiled_rows(app: str, source: str, procs: int,
+                   runtime: Dict[str, dict]) -> None:
+    """Host seconds and cycles of ``source`` compiled at each level."""
+    baseline = None
+    for level in _LEVELS:
+        program = compile_source(source, level)
+        start = time.perf_counter()
+        result = program.run(procs, CM5)
+        seconds = time.perf_counter() - start
+        key = f"{app}/{procs}/{level.value}"
+        runtime[key] = {"seconds": seconds, "cycles": result.cycles}
+        print(f"{key:24s} {seconds:7.2f}s  cycles={result.cycles}")
+        if baseline is None:
+            baseline = result.snapshot()
+        elif result.snapshot() != baseline:
+            raise AssertionError(
+                f"{key}: snapshot diverges from {_LEVELS[0].value}"
+            )
 
 
 def bench() -> dict:
@@ -131,6 +162,8 @@ def bench() -> dict:
                     )
                 batched = runtime[f"{app}/{procs}/batched"]["seconds"]
                 speedups[f"{app}/{procs}"] = seconds / batched
+            if procs in _COMPILED_PROCS:
+                _compiled_rows(app, source, procs, runtime)
     for name, speedup in sorted(speedups.items()):
         print(f"speedup {name}: {speedup:.1f}x")
     if any(procs == _SPEEDUP_AT for procs in sizes):

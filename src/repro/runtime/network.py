@@ -72,6 +72,16 @@ class MsgKind(enum.Enum):
     #: exists only when a fault plan is active.
     NET_ACK = "net_ack"
 
+    #: position in declaration order; per-message hot paths (traffic
+    #: counting, handler dispatch) index lists by it instead of hashing
+    #: the member (``Enum.__hash__`` is a Python-level call)
+    ordinal: int
+
+
+for _ordinal, _kind in enumerate(MsgKind):
+    _kind.ordinal = _ordinal
+del _ordinal, _kind
+
 
 @dataclass
 class Message:
@@ -302,7 +312,10 @@ class LinkStats:
 class NetworkStats:
     """Traffic accounting, reported by the benchmark harness."""
 
-    messages_by_kind: Dict[MsgKind, int] = field(default_factory=dict)
+    #: messages sent per kind, indexed by ``MsgKind.ordinal``
+    sent_by_ordinal: List[int] = field(
+        default_factory=lambda: [0] * len(MsgKind)
+    )
     total_messages: int = 0
     #: fault-injection accounting (all zero on a perfect network)
     drops_by_kind: Dict[MsgKind, int] = field(default_factory=dict)
@@ -315,8 +328,17 @@ class NetworkStats:
     retry_histogram: Dict[int, int] = field(default_factory=dict)
 
     def record(self, kind: MsgKind) -> None:
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
+        self.sent_by_ordinal[kind.ordinal] += 1
         self.total_messages += 1
+
+    @property
+    def messages_by_kind(self) -> Dict[MsgKind, int]:
+        """Messages sent per kind (kinds never sent are absent)."""
+        return {
+            kind: count
+            for kind, count in zip(MsgKind, self.sent_by_ordinal)
+            if count
+        }
 
     def record_drop(self, kind: MsgKind) -> None:
         self.drops_by_kind[kind] = self.drops_by_kind.get(kind, 0) + 1
@@ -332,7 +354,7 @@ class NetworkStats:
         )
 
     def count(self, kind: MsgKind) -> int:
-        return self.messages_by_kind.get(kind, 0)
+        return self.sent_by_ordinal[kind.ordinal]
 
     @property
     def total_drops(self) -> int:

@@ -83,12 +83,14 @@ from repro.ir.instructions import (
 # with the generated step functions); re-exported here for
 # compatibility.
 from repro.runtime.decode import (  # noqa: F401 - re-exports
+    JUMPED,
     PENDING,
     Step,
     _binop,
     _intrinsic,
     _Pending,
     decode_function,
+    undefined_temp,
 )
 from repro.runtime.events import CalendarQueue, LinkChannels
 from repro.runtime.machine import MachineConfig, validate_memory_model
@@ -314,9 +316,12 @@ class Processor:
         runs step closures instead of the opcode dispatch.  Step return
         protocol: ``>= 0`` continue at that index in the same block,
         ``-1`` refetch frame/block (control transfer), ``-2`` blocked
-        or done.  The cycle-budget check runs per step rather than per
-        instruction; every loop crosses a block boundary (a step), so a
-        runaway program still faults with the seed's message.
+        or done, ``JUMPED`` continue at the head of ``frame.block``
+        (a fused jump/branch, which leaves ``frame.index`` stale: every
+        step that blocks or calls out sets it first).  The cycle-budget
+        check runs per step rather than per instruction; every loop
+        crosses a block boundary (a step), so a runaway program still
+        faults with the seed's message.
         """
         if now > self.clock:
             self.wait_cycles += now - self.clock
@@ -327,25 +332,35 @@ class Processor:
         self.block_reason = None
         max_cycles = self.sim.max_cycles
         frames = self.frames
-        while True:
-            frame = frames[-1]
-            steps = frame.code[frame.block]
-            index = frame.index
-            regs = frame.regs
+        try:
             while True:
-                if self.clock > max_cycles:
-                    frame.index = index
-                    raise RuntimeFault(
-                        f"P{self.pid}: exceeded cycle budget {max_cycles} "
-                        "(runaway loop?)"
-                    )
-                result = steps[index](self, frame, regs)
-                if result >= 0:
-                    index = result
-                    continue
-                if result == -1:
-                    break  # control transfer: refetch frame/block
-                return  # blocked or done
+                frame = frames[-1]
+                code = frame.code
+                steps = code[frame.block]
+                index = frame.index
+                regs = frame.regs
+                while True:
+                    if self.clock > max_cycles:
+                        frame.index = index
+                        raise RuntimeFault(
+                            f"P{self.pid}: exceeded cycle budget "
+                            f"{max_cycles} (runaway loop?)"
+                        )
+                    result = steps[index](self, frame, regs)
+                    if result >= 0:
+                        index = result
+                    elif result == JUMPED:
+                        steps = code[frame.block]
+                        index = 0
+                    elif result == -1:
+                        break  # control transfer: refetch frame/block
+                    else:
+                        return  # blocked or done
+        except KeyError as exc:
+            fault = undefined_temp(self, exc)
+            if fault is None:
+                raise
+            raise fault from None
 
     # Returns True to keep running, False when blocked/done.
     def _execute(self, instr: Instr, frame: _Frame) -> bool:
@@ -516,22 +531,7 @@ class Processor:
             self.clock += sim.machine.local_access
             self.frames[-1].index += 1
             return True
-        self.clock += sim.machine.send_overhead
-        tag = sim.new_tag()
-        sim.send(
-            Message(
-                MsgKind.GET_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                dest_temp=instr.dest.name,
-                tag=tag,
-            ),
-            self.clock,
-            trace_event=event,
-        )
-        self._block(("reply", tag), instr)
+        self._request_read(instr, indices, owner, event)
         return False
 
     def _blocking_write(self, instr: Instr) -> bool:
@@ -552,6 +552,36 @@ class Processor:
             self.clock += sim.machine.local_access
             self.frames[-1].index += 1
             return True
+        self._request_write(instr, indices, owner, value)
+        return False
+
+    # The remote halves of the blocking accesses (the decoder's fused
+    # runs call them directly): send the request and park until the
+    # reply, which resumes at the next instruction.
+
+    def _request_read(self, instr: Instr, indices: Tuple[int, ...],
+                      owner: int, event: Optional[MemEvent] = None) -> None:
+        sim = self.sim
+        self.clock += sim.machine.send_overhead
+        tag = sim.new_tag()
+        sim.send(
+            Message(
+                MsgKind.GET_REQ,
+                src=self.pid,
+                dst=owner,
+                var=instr.var,
+                indices=indices,
+                dest_temp=instr.dest.name,
+                tag=tag,
+            ),
+            self.clock,
+            trace_event=event,
+        )
+        self._block(("reply", tag), instr)
+
+    def _request_write(self, instr: Instr, indices: Tuple[int, ...],
+                       owner: int, value: Value) -> None:
+        sim = self.sim
         self.clock += sim.machine.send_overhead
         tag = sim.new_tag()
         sim.send(
@@ -567,7 +597,6 @@ class Processor:
             self.clock,
         )
         self._block(("reply", tag), instr)
-        return False
 
     def _buffer_write(self, var: str, indices: Tuple[int, ...],
                       value: Value) -> None:
@@ -608,27 +637,7 @@ class Processor:
                 event.value = value
             self.clock += sim.machine.local_access
             return
-        self.clock += sim.machine.send_overhead
-        self.counters[instr.counter] = self.counters.get(instr.counter, 0) + 1
-        if local_flat is not None:
-            self.frames[-1].arrays[instr.local_array][local_flat] = PENDING
-        else:
-            self.set_reg(instr.dest, PENDING)
-        sim.send(
-            Message(
-                MsgKind.GET_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                dest_temp=instr.dest.name if instr.dest is not None else None,
-                local_array=instr.local_array,
-                local_flat=local_flat,
-                counter=instr.counter,
-            ),
-            self.clock,
-            trace_event=event,
-        )
+        self._send_get(instr, indices, owner, local_flat, event)
 
     def _local_flat_fused(self, instr: Instr) -> int:
         """Flat offset into a fused get's local landing array."""
@@ -661,20 +670,7 @@ class Processor:
                 self._buffer_write(instr.var, indices, value)
             self.clock += sim.machine.local_access
             return
-        self.clock += sim.machine.send_overhead
-        self.counters[instr.counter] = self.counters.get(instr.counter, 0) + 1
-        sim.send(
-            Message(
-                MsgKind.PUT_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                value=value,
-                counter=instr.counter,
-            ),
-            self.clock,
-        )
+        self._send_put(instr, indices, owner, value)
 
     def _issue_store(self, instr: Instr) -> None:
         sim = self.sim
@@ -693,6 +689,63 @@ class Processor:
                 self._buffer_write(instr.var, indices, value)
             self.clock += sim.machine.local_access
             return
+        self._send_store(instr, indices, owner, value)
+
+    # The remote halves of get/put/store: the one implementation of
+    # their messages, counter bumps, PENDING landings and outstanding
+    # store accounting.  The decoder's fused runs call them directly
+    # once they have evaluated the address and owner inline.
+
+    def _send_get(self, instr: Instr, indices: Tuple[int, ...], owner: int,
+                  local_flat: Optional[int] = None,
+                  event: Optional[MemEvent] = None) -> None:
+        sim = self.sim
+        self.clock += sim.machine.send_overhead
+        counter = instr.counter
+        self.counters[counter] = self.counters.get(counter, 0) + 1
+        frame = self.frames[-1]
+        if local_flat is not None:
+            frame.arrays[instr.local_array][local_flat] = PENDING
+        else:
+            frame.regs[instr.dest.name] = PENDING
+        sim.send(
+            Message(
+                MsgKind.GET_REQ,
+                src=self.pid,
+                dst=owner,
+                var=instr.var,
+                indices=indices,
+                dest_temp=instr.dest.name if instr.dest is not None else None,
+                local_array=instr.local_array,
+                local_flat=local_flat,
+                counter=counter,
+            ),
+            self.clock,
+            trace_event=event,
+        )
+
+    def _send_put(self, instr: Instr, indices: Tuple[int, ...], owner: int,
+                  value: Value) -> None:
+        sim = self.sim
+        self.clock += sim.machine.send_overhead
+        counter = instr.counter
+        self.counters[counter] = self.counters.get(counter, 0) + 1
+        sim.send(
+            Message(
+                MsgKind.PUT_REQ,
+                src=self.pid,
+                dst=owner,
+                var=instr.var,
+                indices=indices,
+                value=value,
+                counter=counter,
+            ),
+            self.clock,
+        )
+
+    def _send_store(self, instr: Instr, indices: Tuple[int, ...], owner: int,
+                    value: Value) -> None:
+        sim = self.sim
         self.clock += sim.machine.send_overhead
         sim.outstanding_stores += 1
         sim.send(
@@ -944,7 +997,7 @@ class Simulator:
         self._unacked: Dict[Tuple[int, int], Dict[int, _Retransmit]] = {}
         self._recv_expected: Dict[Tuple[int, int], int] = {}
         self._recv_buffer: Dict[Tuple[int, int], Dict[int, Message]] = {}
-        self._handlers: Dict[MsgKind, Callable[[int, Message], None]] = {
+        handlers: Dict[MsgKind, Callable[[int, Message], None]] = {
             MsgKind.GET_REQ: self._on_get_req,
             MsgKind.GET_REPLY: self._on_get_reply,
             MsgKind.PUT_REQ: self._on_put_req,
@@ -959,6 +1012,10 @@ class Simulator:
             MsgKind.BARRIER_ARRIVE: self.topology.on_arrive,
             MsgKind.BARRIER_RELEASE: self.topology.on_release,
         }
+        #: message handlers indexed by ``MsgKind.ordinal``
+        self._handlers: List[Optional[Callable[[int, Message], None]]] = [
+            handlers.get(kind) for kind in MsgKind
+        ]
 
     # -- infrastructure used by processors -----------------------------------
 
@@ -1164,7 +1221,7 @@ class Simulator:
 
     def _handle_message(self, arrival: int, msg: Message) -> None:
         """Dispatches one delivered logical message to its handler."""
-        handler = self._handlers.get(msg.kind)
+        handler = self._handlers[msg.kind.ordinal]
         if handler is None:
             raise RuntimeFault(f"unhandled message kind {msg.kind}")
         handler(arrival, msg)
@@ -1429,9 +1486,27 @@ class Simulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        if self.engine == "batched":
-            return self._run_batched()
-        return self._run_reference()
+        """Simulates to completion.  A simulator runs once: finishing
+        (or faulting) releases the back-references below."""
+        try:
+            if self.engine == "batched":
+                return self._run_batched()
+            return self._run_reference()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Breaks the run's reference cycles — processors and the
+        barrier topology point back here, the handler table and event
+        hooks are bound methods — so its state is freed as soon as the
+        caller drops the simulator and result, not at the next full
+        garbage collection (which runs rarely in a process that keeps
+        much data alive)."""
+        for proc in self.procs:
+            del proc.sim
+        del self.topology.sim
+        self._handlers = []
+        del self._push, self._deliver
 
     def _run_reference(self) -> SimulationResult:
         """The seed event loop: one flat heap, one event per pop."""

@@ -48,6 +48,10 @@ class TestNetwork:
         net.send(msg(kind=MsgKind.PUT_REQ), now=0)
         net.send(msg(kind=MsgKind.STORE_REQ), now=0)
         assert net.stats.count(MsgKind.PUT_REQ) == 2
+        assert net.stats.count(MsgKind.GET_REQ) == 0
+        assert net.stats.messages_by_kind == {
+            MsgKind.PUT_REQ: 2, MsgKind.STORE_REQ: 1,
+        }
         assert net.stats.total_messages == 3
         assert net.in_flight == 3
         net.delivered()

@@ -107,11 +107,17 @@ class ScriptedDaemon:
             handle.flush()
 
     def close(self):
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(); shutting it down does (accept fails with EINVAL).
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), (
+            "scripted daemon thread still running after close()"
+        )
 
 
 @pytest.fixture

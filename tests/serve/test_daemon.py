@@ -248,6 +248,7 @@ class TestErrors:
                 worker.start()
             for worker in threads:
                 worker.join(timeout=120)
+                assert not worker.is_alive(), "worker thread timed out"
             assert isinstance(outcomes["bad"], ServeError)
             assert outcomes["bad"].code == "compile_error"
             assert outcomes["good"]["opt"] == "O0"
@@ -285,6 +286,7 @@ class TestDedup:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=180)
+                assert not worker.is_alive(), "worker thread timed out"
             assert all(result is not None for result in results)
             digests = {result["artifact_sha256"] for result in results}
             assert len(digests) == 1
@@ -584,6 +586,7 @@ class TestWatchdog:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=60)
+                assert not worker.is_alive(), "worker thread timed out"
             assert set(results) == {"sb", "mp"}, (
                 "the serial fallback must still answer every request"
             )
@@ -644,6 +647,7 @@ class TestSocketRace:
             racer.start()
         for racer in racers:
             racer.join(timeout=60)
+            assert not racer.is_alive(), "racer thread timed out"
 
         assert len(failures) == 1, (
             f"exactly one contender must lose the race: {failures!r}"
